@@ -7,22 +7,26 @@ it binds, used by the kernel cache to reuse compiled artifacts across
 structurally-identical programs.
 """
 
+import hashlib
+from typing import NamedTuple
+
 from repro.cin.nodes import (
     Access,
     Assign,
     Forall,
+    Multi,
     OffsetExpr,
+    Pass,
     PermitExpr,
     Sieve,
+    Where,
     WindowExpr,
     collect_accesses,
-    stmt_exprs,
+    stmt_children,
     walk_stmts,
 )
-import hashlib
-
 from repro.ir import build
-from repro.ir.nodes import Extent, Literal, Var
+from repro.ir.nodes import Call, Extent, Literal, Var
 from repro.util.errors import DimensionError, ReproError
 
 
@@ -145,7 +149,24 @@ def tensor_binding_buffers(tensor):
     return {}
 
 
-def structural_key(stmt):
+class KeyedProgram(NamedTuple):
+    """One :func:`structural_key` walk, kept whole for the kernel
+    binding.
+
+    ``key`` is the structural key.  ``tensors`` lists the tensors a
+    kernel binds — every accessed tensor in first-use order, exactly
+    :func:`program_tensors` — and ``signatures``/``roles`` hold their
+    :func:`tensor_signature` and :func:`tensor_binding_buffers`, one
+    per tensor, as the walk computed them for the key.
+    """
+
+    key: tuple
+    tensors: list
+    signatures: tuple
+    roles: list
+
+
+def structural_key(stmt, binding=False):
     """A hashable key identifying the program up to the data it binds.
 
     The CIN tree is hashed with every tensor replaced by its *slot*
@@ -159,20 +180,38 @@ def structural_key(stmt):
     share a backing array the compiler collapses them into a single
     kernel parameter, so the sharing pattern must match for a cached
     kernel to be rebindable.
+
+    With ``binding=True`` the same walk returns a :class:`KeyedProgram`
+    instead, so a caller that binds the program (``compile_kernel``)
+    computes no tensor's signature or buffers twice.  Key slots also
+    count tensors named only by ``pass_`` (or only inside a loop
+    extent); the binding list leaves those out.
     """
     slots = []
     slot_index = {}
+    bound = {}  # slots of accessed tensors, in first-access order
 
     def slot(tensor):
-        key = id(tensor)
-        if key not in slot_index:
-            slot_index[key] = len(slots)
+        index = slot_index.get(id(tensor))
+        if index is None:
+            index = slot_index[id(tensor)] = len(slots)
             slots.append(tensor)
-        return slot_index[key]
+        return index
 
-    body = _stmt_key(stmt, slot)
-    signatures = tuple(tensor_signature(tensor) for tensor in slots)
-    return ("cin", body, signatures, buffer_alias_groups(slots))
+    def bind(tensor):
+        index = slot(tensor)
+        bound.setdefault(index)
+        return index
+
+    body = _stmt_key(stmt, slot, bind)
+    signatures = tuple([tensor_signature(tensor) for tensor in slots])
+    roles = [tensor_binding_buffers(tensor) for tensor in slots]
+    key = ("cin", body, signatures, _alias_groups(roles))
+    if not binding:
+        return key
+    return KeyedProgram(key, [slots[index] for index in bound],
+                        tuple([signatures[index] for index in bound]),
+                        [roles[index] for index in bound])
 
 
 def structural_digest(key, length=12):
@@ -195,44 +234,46 @@ def structural_digest(key, length=12):
 
 def buffer_alias_groups(tensors):
     """Groups of ``(slot, role)`` pairs whose buffers are one object."""
+    return _alias_groups([tensor_binding_buffers(t) for t in tensors])
+
+
+def _alias_groups(roles):
     owners = {}
-    for slot, tensor in enumerate(tensors):
-        for role, buf in tensor_binding_buffers(tensor).items():
+    for slot, buffers in enumerate(roles):
+        for role, buf in buffers.items():
             owners.setdefault(id(buf), []).append((slot, role))
     return tuple(tuple(group) for group in owners.values()
                  if len(group) > 1)
 
 
-def _stmt_key(stmt, slot):
+def _stmt_key(stmt, slot, bind):
+    """Key one statement; ``bind`` slots the tensors its accesses
+    read or write, ``slot`` the ones it only names (pass, extents)."""
     if isinstance(stmt, Assign):
         op = stmt.op.name if stmt.op is not None else None
-        return ("assign", op, _expr_key(stmt.lhs, slot),
-                _expr_key(stmt.rhs, slot))
+        return ("assign", op, _expr_key(stmt.lhs, bind),
+                _expr_key(stmt.rhs, bind))
     if isinstance(stmt, Forall):
         return ("forall", stmt.index.name, _extent_key(stmt.ext, slot),
-                _stmt_key(stmt.body, slot))
+                _stmt_key(stmt.body, slot, bind))
     if isinstance(stmt, Sieve):
-        return ("sieve", _expr_key(stmt.cond, slot),
-                _stmt_key(stmt.body, slot))
-    from repro.cin.nodes import Multi, Pass, Where
-
+        return ("sieve", _expr_key(stmt.cond, bind),
+                _stmt_key(stmt.body, slot, bind))
     if isinstance(stmt, Where):
-        return ("where", _stmt_key(stmt.consumer, slot),
-                _stmt_key(stmt.producer, slot))
+        return ("where", _stmt_key(stmt.consumer, slot, bind),
+                _stmt_key(stmt.producer, slot, bind))
     if isinstance(stmt, Multi):
-        return ("multi",) + tuple(_stmt_key(child, slot)
-                                  for child in stmt.stmts)
+        return ("multi",) + tuple([_stmt_key(child, slot, bind)
+                                   for child in stmt.stmts])
     if isinstance(stmt, Pass):
         return ("pass",) + tuple(slot(tensor) for tensor in stmt.tensors)
     raise ReproError("cannot key statement %r" % (stmt,))
 
 
 def _expr_key(expr, slot):
-    from repro.ir.nodes import Call
-
     if isinstance(expr, Access):
         return (("access", slot(expr.tensor), expr.protocols)
-                + tuple(_expr_key(idx, slot) for idx in expr.idxs))
+                + tuple([_expr_key(idx, slot) for idx in expr.idxs]))
     children = expr.children()
     if not children:
         # Leaves (Literal, Var) have data-independent keys already.
@@ -241,7 +282,7 @@ def _expr_key(expr, slot):
         head = ("call", expr.op.name)
     else:
         head = (type(expr).__name__,)
-    return head + tuple(_expr_key(child, slot) for child in children)
+    return head + tuple([_expr_key(child, slot) for child in children])
 
 
 def _extent_key(ext, slot):
@@ -274,15 +315,12 @@ def _check(stmt, names_in_scope):
     if isinstance(stmt, Sieve):
         _check(stmt.body, names_in_scope)
         return
-    for expr in stmt_exprs(stmt):
-        del expr
-    from repro.cin.nodes import stmt_children
-
     for child in stmt_children(stmt):
         _check(child, names_in_scope)
 
 
 __all__ = [
+    "KeyedProgram",
     "buffer_alias_groups",
     "check_program",
     "forall_indices",

@@ -47,6 +47,7 @@ update, giving a deterministic work measure used by the benchmark
 harness alongside wall-clock time.
 """
 
+import functools
 import os
 import threading
 import time
@@ -70,6 +71,7 @@ from repro.ir import asm, emit
 from repro.ir.nodes import Literal, Load
 from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
 from repro.ir.runtime import kernel_globals
+from repro.util import config
 from repro.util.errors import BindingError, SpecError
 
 #: Version tag of the serialized-artifact format (see
@@ -123,8 +125,6 @@ def normalize_backend(backend):
     process — or a whole CI job — can be flipped to the C backend
     without touching call sites.
     """
-    from repro.util import config
-
     backend = config.resolve("backend", override=backend)
     if backend not in BACKENDS:
         raise ValueError(
@@ -142,8 +142,6 @@ def normalize_tune(tune):
     or a whole CI job — can be flipped onto the tuned schedules
     without touching call sites.
     """
-    from repro.util import config
-
     tune = config.resolve("tune", override=tune)
     if tune not in TUNE_MODES:
         raise ValueError(
@@ -328,18 +326,23 @@ class CompiledKernel:
             constant_loop_rewrite=spec["constant_loop_rewrite"],
         )
 
-    def validate(self, tensors):
+    def validate(self, tensors, signatures=None):
         """Check that ``tensors`` fill every slot with matching format
         signatures; raises :class:`BindingError` otherwise.
 
         The shared fail-fast half of :meth:`bind`, also used by the
         batch engine to reject bad datasets before dispatching any
-        work.
+        work.  ``signatures`` are the tensors' signatures when the
+        caller already has them (a structural-key walk): equal to the
+        compiled ones, they settle the check at once; otherwise every
+        slot is checked afresh.
         """
         if len(tensors) != len(self.signatures):
             raise BindingError(
                 "kernel has %d tensor slots, got %d tensors"
                 % (len(self.signatures), len(tensors)))
+        if signatures == self.signatures:
+            return
         for slot, (tensor, expected) in enumerate(
                 zip(tensors, self.signatures)):
             actual = tensor_signature(tensor)
@@ -350,15 +353,19 @@ class CompiledKernel:
                     % (slot, getattr(tensor, "name", "?"), actual,
                        expected))
 
-    def bind(self, tensors):
+    def bind(self, tensors, signatures=None, roles=None):
         """Positional kernel arguments for ``tensors`` (one per slot).
 
         Validates format signatures and the buffer-aliasing pattern,
         then resolves every plan entry to the new tensor's buffer.
+        ``signatures`` and ``roles`` (per tensor, as in
+        :class:`~repro.cin.analyze.KeyedProgram`) spare recomputing
+        what the caller already knows about ``tensors``.
         """
         tensors = list(tensors)
-        self.validate(tensors)
-        roles = [tensor_binding_buffers(tensor) for tensor in tensors]
+        self.validate(tensors, signatures)
+        if roles is None:
+            roles = [tensor_binding_buffers(tensor) for tensor in tensors]
         for group in self.alias_groups:
             distinct = {id(roles[slot][role]) for slot, role in group}
             if len(distinct) != 1:
@@ -394,19 +401,15 @@ class Kernel:
     view over a shared :class:`CompiledKernel` artifact."""
 
     def __init__(self, artifact, tensors, program, from_cache=False,
-                 tuned=False):
+                 tuned=False, signatures=None, roles=None):
         self._artifact = artifact
         self._tensors = list(tensors)
-        self._args = artifact.bind(self._tensors)
+        self._args = artifact.bind(self._tensors, signatures, roles)
         self.program = program
         self.from_cache = from_cache
         #: True when the autotuner's winners table rewrote the program
         #: (``compile_kernel(..., tune="apply")`` with a hit).
         self.tuned = tuned
-        self._output_slots = tuple(
-            next(slot for slot, t in enumerate(self._tensors)
-                 if t is out)
-            for out in output_tensors(program))
 
     @property
     def artifact(self):
@@ -476,15 +479,18 @@ class Kernel:
         """Wall-clock seconds spent lowering/emitting this artifact."""
         return self._artifact.compile_seconds
 
-    @property
+    @functools.cached_property
     def output_slots(self):
         """Slot positions of the output tensors, in first-write order."""
-        return self._output_slots
+        # Slots are the program's own tensors, whatever is bound now.
+        slots = program_tensors(self.program)
+        return tuple(next(slot for slot, t in enumerate(slots) if t is out)
+                     for out in output_tensors(self.program))
 
     @property
     def outputs(self):
         """The currently-bound output tensors, in first-write order."""
-        return [self._tensors[slot] for slot in self._output_slots]
+        return [self._tensors[slot] for slot in self.output_slots]
 
     @property
     def tensors(self):
@@ -680,11 +686,12 @@ def kernel_cache():
     return KERNEL_CACHE
 
 
-def _compile_artifact(program, tensors, instrument, name,
+def _compile_artifact(program, keyed, instrument, name,
                       constant_loop_rewrite, opt_level,
-                      structural_key=None, backend="python"):
+                      backend="python"):
     """Lower, optimize, emit, and exec one program; package the
-    artifact.
+    artifact.  ``keyed`` is the program's
+    :class:`~repro.cin.analyze.KeyedProgram`.
 
     With ``backend="c"`` the optimized target AST is additionally
     lowered to C99 and compiled into a shared object
@@ -692,6 +699,7 @@ def _compile_artifact(program, tensors, instrument, name,
     it is the fallback entry and the reference the differential tests
     compare against."""
     start = time.perf_counter()
+    tensors = keyed.tensors
     ctx = Context(instrument=instrument,
                   constant_loop_rewrite=constant_loop_rewrite)
     ctx.register_tensors(tensors)
@@ -765,7 +773,7 @@ def _compile_artifact(program, tensors, instrument, name,
     seed_args = tuple(
         array if entry is None else None
         for entry, (_, array) in zip(plan, ctx.bound_buffers()))
-    signatures = tuple(tensor_signature(t) for t in tensors)
+    signatures = keyed.signatures
     return CompiledKernel(
         fn=namespace[name],
         name=name,
@@ -784,7 +792,7 @@ def _compile_artifact(program, tensors, instrument, name,
         alias_groups=buffer_alias_groups(tensors),
         instrument=instrument,
         compile_seconds=time.perf_counter() - start,
-        structural_key=structural_key,
+        structural_key=keyed.key,
         slot_names=tuple(getattr(t, "name", "?") for t in tensors),
         constant_loop_rewrite=constant_loop_rewrite,
         backend=backend,
@@ -935,10 +943,7 @@ def compile_kernel(program, instrument=False, name="kernel",
             if backend is None:
                 backend = tuning.get("backend")
             tuned = True
-    tensors = program_tensors(program)
-    from repro.util import config as _config
-
-    opt_level = _config.resolve("opt_level", override=opt_level)
+    opt_level = config.resolve("opt_level", override=opt_level)
     if opt_level is None:
         opt_level = DEFAULT_OPT_LEVEL
     opt_level = int(opt_level)
@@ -955,7 +960,16 @@ def compile_kernel(program, instrument=False, name="kernel",
     # The remote tier participates only in full read-through mode: a
     # caller narrowing to one local tier is asking for locality.
     use_remote = cache is True
-    skey = structural_key(program)
+    # One walk yields the key and the binding (tensors, signatures,
+    # buffer roles) every tier below hands to Kernel.
+    keyed = structural_key(program, binding=True)
+    skey = keyed.key
+
+    def view(artifact, from_cache=True):
+        return Kernel(artifact, keyed.tensors, program,
+                      from_cache=from_cache, tuned=tuned,
+                      signatures=keyed.signatures, roles=keyed.roles)
+
     key = None
     if use_memory:
         key = memory_cache_key(skey, instrument, name,
@@ -963,8 +977,7 @@ def compile_kernel(program, instrument=False, name="kernel",
                                backend)
         artifact = KERNEL_CACHE.lookup(key)
         if artifact is not None:
-            return Kernel(artifact, tensors, program, from_cache=True,
-                          tuned=tuned)
+            return view(artifact)
     store = None
     meta = None
     if use_disk:
@@ -982,8 +995,7 @@ def compile_kernel(program, instrument=False, name="kernel",
             if artifact is not None:
                 if key is not None:
                     KERNEL_CACHE.store(key, artifact)
-                return Kernel(artifact, tensors, program,
-                              from_cache=True, tuned=tuned)
+                return view(artifact)
     client = None
     if use_remote:
         from repro.service.client import active_client
@@ -1004,11 +1016,10 @@ def compile_kernel(program, instrument=False, name="kernel",
                 if artifact is not None:
                     if key is not None:
                         KERNEL_CACHE.store(key, artifact)
-                    return Kernel(artifact, tensors, program,
-                                  from_cache=True, tuned=tuned)
-    artifact = _compile_artifact(program, tensors, instrument, name,
+                    return view(artifact)
+    artifact = _compile_artifact(program, keyed, instrument, name,
                                  constant_loop_rewrite, opt_level,
-                                 structural_key=skey, backend=backend)
+                                 backend=backend)
     if key is not None:
         KERNEL_CACHE.store(key, artifact)
     if store is not None or client is not None:
@@ -1025,7 +1036,7 @@ def compile_kernel(program, instrument=False, name="kernel",
                 store.save_spec(meta, spec, so_path=artifact.so_path)
             if client is not None:
                 client.push(meta, spec)
-    return Kernel(artifact, tensors, program, tuned=tuned)
+    return view(artifact, from_cache=False)
 
 
 def execute(program, instrument=False, cache=None, opt_level=None,

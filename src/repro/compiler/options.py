@@ -119,8 +119,8 @@ class CompileOptions:
         """The effective options for one call: ``options=`` (or a
         fresh default) with the sugar kwargs merged over it."""
         if options is None:
-            options = cls()
-        elif not isinstance(options, cls):
+            return cls(**sugar)
+        if not isinstance(options, cls):
             raise TypeError(
                 "options must be a CompileOptions, got %r"
                 % type(options).__name__)

@@ -6,12 +6,19 @@ indices produces CIN :class:`~repro.cin.nodes.Access` nodes, so tensors
 participate directly in the eDSL: ``y[i] += A[i, j] * x[j]``.
 """
 
+import functools
+
 import numpy as np
 
 from repro.cin.builders import access
 from repro.formats.element import ElementLevel
 from repro.formats.level import FiberSlice
 from repro.util.errors import DimensionError, FormatError
+
+
+# ``str(dtype)`` per distinct dtype: numpy builds the name afresh on
+# every call, and signatures are taken on every kernel dispatch.
+_dtype_name = functools.lru_cache(maxsize=64)(str)
 
 
 def _normalize_fill(fill):
@@ -106,7 +113,8 @@ class Tensor:
         """
         levels = tuple((type(level).__name__, level.shape)
                        for level in self.levels)
-        return ("tensor", levels, str(self.dtype), _normalize_fill(self.fill))
+        return ("tensor", levels, _dtype_name(self.dtype),
+                _normalize_fill(self.fill))
 
     def __repr__(self):
         layout = "/".join(type(level).__name__.replace("Level", "")

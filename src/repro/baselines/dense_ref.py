@@ -12,14 +12,6 @@ Two flavors per kernel:
 import numpy as np
 
 
-def dot_numpy(a, b):
-    return float(np.dot(a, b))
-
-
-def spmv_numpy(mat, vec):
-    return np.asarray(mat) @ np.asarray(vec)
-
-
 def convolve2d_numpy(grid, kernel):
     """Zero-padded, centered 2D convolution oracle (paper Figure 9)."""
     grid = np.asarray(grid, dtype=float)
@@ -62,13 +54,6 @@ def all_pairs_numpy(images):
     gram = images @ images.T
     sq = np.maximum(norms[:, None] + norms[None, :] - 2 * gram, 0.0)
     return np.sqrt(sq)
-
-
-def dot_loops(a, b):
-    total = 0.0
-    for p in range(len(a)):
-        total += a[p] * b[p]
-    return total
 
 
 def spmv_loops(mat, vec):

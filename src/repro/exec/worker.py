@@ -128,33 +128,6 @@ def snapshot_tensor(tensor):
     return np.asarray(tensor.value)
 
 
-def run_spec_task(spec, tensors, index, output_slots):
-    """Run one dataset against a spec-rebuilt kernel.
-
-    The one-task-at-a-time predecessor of :func:`run_chunk`, kept for
-    direct callers that hold real tensors (no shm transport): returns
-    a plain result dict (index, output snapshots, op count, worker id,
-    seconds, artifact-cache flag).
-    """
-    start = time.perf_counter()
-    artifact, cached, store_hit, remote_hit = artifact_from_spec(spec)
-    args = artifact.bind(tensors)
-    result = artifact.fn(*args)
-    outputs = [snapshot_tensor(tensors[slot]) for slot in output_slots]
-    return {
-        "index": index,
-        "outputs": outputs,
-        # Trip-count-scaled counters can come back as numpy ints;
-        # normalize so op totals stay plain (and JSON-safe) ints.
-        "ops": int(result) if artifact.instrument else None,
-        "worker": "pid-%d" % os.getpid(),
-        "seconds": time.perf_counter() - start,
-        "spec_rebuild": not cached,
-        "store_hit": store_hit,
-        "remote_hit": remote_hit,
-    }
-
-
 def _pickle_exception(exc):
     """The exception as pipe-safe bytes, degrading to a RuntimeError
     carrying the original type name when the instance won't pickle."""

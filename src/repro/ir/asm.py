@@ -12,9 +12,18 @@ per-statement expression rewriter (:func:`map_statement_exprs`), and a
 conservative effects analysis (:func:`stmt_reads`, :func:`stmt_writes`,
 :func:`stmt_stores`) that treats :class:`Raw` lines as touching every
 identifier they mention.
+
+Statement nodes are immutable, so each one computes its effects once:
+an :class:`Effects` record of frozensets, built from its children's
+records on first use and cached on the node.  The rewriters (and the
+``with_*`` rebuilders the passes use) return the input node itself
+when nothing under it changed, so a subtree a pass leaves alone keeps
+its cached effects for the passes after it, and "nothing changed" is
+a test of node identity.
 """
 
 import re
+from collections import namedtuple
 
 from repro.ir.nodes import Expr, Load, Var, as_expr
 from repro.ir.ops import Op, get_op
@@ -26,7 +35,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 class Stmt:
     """Base class for target statements."""
 
-    __slots__ = ()
+    __slots__ = ("_effects",)
 
     def is_nop(self):
         return False
@@ -219,7 +228,8 @@ def map_statements(stmt, fn):
     node; ``fn`` returns a replacement statement (possibly a ``Block``
     or ``Nop``) or ``None`` to keep the node.  Replacements are *not*
     re-visited, so a pass can safely return trees containing nodes of
-    the kind it matches on.
+    the kind it matches on.  A node whose children all come back
+    unchanged is kept as is (not rebuilt).
     """
     rebuilt = _map_children(stmt, fn)
     result = fn(rebuilt)
@@ -228,19 +238,13 @@ def map_statements(stmt, fn):
 
 def _map_children(stmt, fn):
     if isinstance(stmt, Block):
-        return Block([map_statements(child, fn) for child in stmt.stmts])
-    if isinstance(stmt, ForLoop):
-        return ForLoop(stmt.var, stmt.start, stmt.stop,
-                       map_statements(stmt.body, fn))
-    if isinstance(stmt, WhileLoop):
-        return WhileLoop(stmt.cond, map_statements(stmt.body, fn))
+        return with_stmts(stmt, [map_statements(child, fn)
+                                 for child in stmt.stmts])
+    if isinstance(stmt, (ForLoop, WhileLoop, FuncDef)):
+        return with_body(stmt, map_statements(stmt.body, fn))
     if isinstance(stmt, If):
-        branches = [(cond, map_statements(body, fn))
-                    for cond, body in stmt.branches]
-        return If(branches)
-    if isinstance(stmt, FuncDef):
-        return FuncDef(stmt.name, stmt.params,
-                       map_statements(stmt.body, fn), returns=stmt.returns)
+        return with_branches(stmt, [(cond, map_statements(body, fn))
+                                    for cond, body in stmt.branches])
     return stmt
 
 
@@ -251,26 +255,64 @@ def map_statement_exprs(stmt, fn):
     :func:`map_statements` for whole-tree rewrites).  Assignment
     targets keep their ``Var``/``Load`` shape: a ``Var`` target is left
     alone (it is a write, not a read), a ``Load`` target has only its
-    index mapped.
+    index mapped.  Returns ``stmt`` itself when ``fn`` returns every
+    expression unchanged.
     """
-    if isinstance(stmt, AssignStmt):
+    if isinstance(stmt, (AssignStmt, AccumStmt)):
         target = stmt.target
         if isinstance(target, Load):
-            target = Load(target.buffer, fn(target.index))
-        return AssignStmt(target, fn(stmt.value))
-    if isinstance(stmt, AccumStmt):
-        target = stmt.target
-        if isinstance(target, Load):
-            target = Load(target.buffer, fn(target.index))
-        return AccumStmt(target, stmt.op, fn(stmt.value))
+            index = fn(target.index)
+            if index is not target.index:
+                target = Load(target.buffer, index)
+        value = fn(stmt.value)
+        if target is stmt.target and value is stmt.value:
+            return stmt
+        if isinstance(stmt, AssignStmt):
+            return AssignStmt(target, value)
+        return AccumStmt(target, stmt.op, value)
     if isinstance(stmt, ForLoop):
-        return ForLoop(stmt.var, fn(stmt.start), fn(stmt.stop), stmt.body)
+        start, stop = fn(stmt.start), fn(stmt.stop)
+        if start is stmt.start and stop is stmt.stop:
+            return stmt
+        return ForLoop(stmt.var, start, stop, stmt.body)
     if isinstance(stmt, WhileLoop):
-        return WhileLoop(fn(stmt.cond), stmt.body)
+        cond = fn(stmt.cond)
+        return stmt if cond is stmt.cond else WhileLoop(cond, stmt.body)
     if isinstance(stmt, If):
-        return If([(None if cond is None else fn(cond), body)
-                   for cond, body in stmt.branches])
+        return with_branches(stmt, [(None if cond is None else fn(cond), body)
+                                    for cond, body in stmt.branches])
     return stmt
+
+
+# The three ``with_*`` rebuilders return the input node itself when
+# every part they are given is the very object it already holds.
+def _same_nodes(new, old):
+    return len(new) == len(old) and all(a is b for a, b in zip(new, old))
+
+
+def with_stmts(block, stmts):
+    """``block`` with statements ``stmts``."""
+    return block if _same_nodes(stmts, block.stmts) else Block(stmts)
+
+
+def with_body(stmt, body):
+    """A ``ForLoop``, ``WhileLoop`` or ``FuncDef`` with body ``body``."""
+    if body is stmt.body:
+        return stmt
+    if isinstance(stmt, ForLoop):
+        return ForLoop(stmt.var, stmt.start, stmt.stop, body)
+    if isinstance(stmt, WhileLoop):
+        return WhileLoop(stmt.cond, body)
+    return FuncDef(stmt.name, stmt.params, body, returns=stmt.returns)
+
+
+def with_branches(stmt, branches):
+    """An ``If`` with ``(cond, body)`` pairs ``branches``."""
+    if len(branches) == len(stmt.branches) and all(
+            _same_nodes(new, old)
+            for new, old in zip(branches, stmt.branches)):
+        return stmt
+    return If(branches)
 
 
 # --------------------------------------------------------------------------
@@ -292,57 +334,80 @@ def load_buffers(expr, out=None):
     return out
 
 
+#: The effects of one statement tree: ``reads`` are the variable names
+#: (buffer names included) it may read, ``writes`` the scalar names it
+#: may assign, ``stores`` the buffers it may store into.
+Effects = namedtuple("Effects", ("reads", "writes", "stores"))
+
+_NO_NAMES = frozenset()
+_NO_EFFECTS = Effects(_NO_NAMES, _NO_NAMES, _NO_NAMES)
+
+
+def stmt_effects(stmt):
+    """The tree's :class:`Effects`, computed once per node and cached."""
+    try:
+        return stmt._effects
+    except AttributeError:
+        effects = stmt._effects = _compute_effects(stmt)
+        return effects
+
+
+def _compute_effects(stmt):
+    if isinstance(stmt, (AssignStmt, AccumStmt)):
+        target = stmt.target
+        reads = stmt.value.free_vars()
+        if isinstance(target, Var):
+            if isinstance(stmt, AccumStmt):
+                reads = reads | target.free_vars()
+            return Effects(reads, target.free_vars(), _NO_NAMES)
+        stored = target.buffer.free_vars()
+        return Effects(reads | target.free_vars(), _NO_NAMES, stored)
+    if isinstance(stmt, Block):
+        return _union_effects(stmt.stmts, ())
+    if isinstance(stmt, ForLoop):
+        return _union_effects((stmt.body,), (stmt.start, stmt.stop),
+                              stmt.var.free_vars())
+    if isinstance(stmt, WhileLoop):
+        return _union_effects((stmt.body,), (stmt.cond,))
+    if isinstance(stmt, If):
+        return _union_effects(
+            [body for _, body in stmt.branches],
+            [cond for cond, _ in stmt.branches if cond is not None])
+    if isinstance(stmt, FuncDef):
+        return stmt_effects(stmt.body)
+    if isinstance(stmt, Raw):
+        names = frozenset(raw_identifiers(stmt.line))
+        return Effects(names, names, names)
+    return _NO_EFFECTS
+
+
+def _union_effects(children, exprs, writes=_NO_NAMES):
+    """Effects of ``children`` plus reads of ``exprs`` (plus ``writes``)."""
+    records = [stmt_effects(child) for child in children]
+    if len(records) == 1 and not exprs and not writes:
+        return records[0]
+    return Effects(
+        _NO_NAMES.union(*[r.reads for r in records],
+                        *[e.free_vars() for e in exprs]),
+        writes.union(*[r.writes for r in records]),
+        _NO_NAMES.union(*[r.stores for r in records]))
+
+
 def stmt_reads(stmt):
     """Variable names (including buffer names) possibly read by the
     statement tree.  ``Raw`` lines read every identifier they mention."""
-    out = set()
-    for node in walk_statements(stmt):
-        if isinstance(node, AssignStmt):
-            out |= node.value.free_vars()
-            if isinstance(node.target, Load):
-                out.add(node.target.buffer.name)
-                out |= node.target.index.free_vars()
-        elif isinstance(node, AccumStmt):
-            out |= node.value.free_vars()
-            out |= node.target.free_vars()
-        elif isinstance(node, ForLoop):
-            out |= node.start.free_vars() | node.stop.free_vars()
-        elif isinstance(node, WhileLoop):
-            out |= node.cond.free_vars()
-        elif isinstance(node, If):
-            for cond, _ in node.branches:
-                if isinstance(cond, Expr):
-                    out |= cond.free_vars()
-        elif isinstance(node, Raw):
-            out |= raw_identifiers(node.line)
-    return out
+    return stmt_effects(stmt).reads
 
 
 def stmt_writes(stmt):
     """Scalar variable names possibly assigned by the statement tree
     (assignment/accumulation targets, loop variables, and — to stay
     conservative — every identifier a ``Raw`` line mentions)."""
-    out = set()
-    for node in walk_statements(stmt):
-        if isinstance(node, (AssignStmt, AccumStmt)):
-            if isinstance(node.target, Var):
-                out.add(node.target.name)
-        elif isinstance(node, ForLoop):
-            out.add(node.var.name)
-        elif isinstance(node, Raw):
-            out |= raw_identifiers(node.line)
-    return out
+    return stmt_effects(stmt).writes
 
 
 def stmt_stores(stmt):
     """Buffer names possibly stored into by the statement tree
     (``buf[i] = ...`` targets plus every identifier in ``Raw`` lines,
     which may call mutating methods such as ``.fill`` or ``.append``)."""
-    out = set()
-    for node in walk_statements(stmt):
-        if isinstance(node, (AssignStmt, AccumStmt)):
-            if isinstance(node.target, Load):
-                out.add(node.target.buffer.name)
-        elif isinstance(node, Raw):
-            out |= raw_identifiers(node.line)
-    return out
+    return stmt_effects(stmt).stores

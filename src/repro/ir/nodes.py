@@ -7,7 +7,13 @@ and the rewriter simplifies them (zero annihilation, constant folding)
 before any code is emitted.
 
 Expressions are immutable and structurally hashable, so they can be used
-as dictionary keys (e.g. by the kernel cache).
+as dictionary keys (e.g. by the kernel cache).  Because they never
+change, :class:`Call` and :class:`Load` compute their structural key and
+free-variable set once, on first use, and :class:`Literal` its key; the
+optimizer asks for both many times per node.  Every node of these four
+classes also carries a ``_normal`` flag the simplifier
+(:mod:`repro.rewrite.simplify`) sets once the default rule set has
+normalized it.
 """
 
 from repro.ir.ops import MISSING, Op, get_op
@@ -18,6 +24,10 @@ class Expr:
     """Base class for scalar IR expressions."""
 
     __slots__ = ()
+
+    #: Set by the simplifier once the default rules have normalized the
+    #: node; classes without a ``_normal`` slot are never marked.
+    _normal = False
 
     def key(self):
         """A hashable structural identity for this expression."""
@@ -32,6 +42,8 @@ class Expr:
         raise NotImplementedError
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Expr) and self.key() == other.key()
 
     def __ne__(self, other):
@@ -41,30 +53,34 @@ class Expr:
         return hash(self.key())
 
     def free_vars(self):
-        """The set of runtime variable names this expression reads."""
-        out = set()
-        _collect_free_vars(self, out)
-        return out
+        """The frozenset of runtime variable names this expression reads."""
+        return _NO_VARS.union(*[c.free_vars() for c in self.children()])
 
 
-def _collect_free_vars(expr, out):
-    if isinstance(expr, Var):
-        out.add(expr.name)
-    for child in expr.children():
-        _collect_free_vars(child, out)
+_NO_VARS = frozenset()
 
 
 class Literal(Expr):
     """A compile-time constant (number, bool, or the ``missing`` value)."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_key", "_normal")
 
     def __init__(self, value):
         self.value = value
+        self._key = None
+        self._normal = False
 
     def key(self):
-        # Distinguish 1 from 1.0 from True: fold decisions depend on type.
-        return ("lit", type(self.value).__name__, repr(self.value))
+        key = self._key
+        if key is None:
+            # Distinguish 1 from 1.0 from True: fold decisions depend
+            # on type.
+            key = self._key = ("lit", type(self.value).__name__,
+                               repr(self.value))
+        return key
+
+    def free_vars(self):
+        return _NO_VARS
 
     def rebuild(self, children):
         return self
@@ -80,13 +96,17 @@ class Literal(Expr):
 class Var(Expr):
     """A runtime variable in the emitted kernel (loop index, position...)."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_normal")
 
     def __init__(self, name):
         self.name = name
+        self._normal = False
 
     def key(self):
         return ("var", self.name)
+
+    def free_vars(self):
+        return frozenset((self.name,))
 
     def rebuild(self, children):
         return self
@@ -98,7 +118,7 @@ class Var(Expr):
 class Call(Expr):
     """Application of a registered operator to argument expressions."""
 
-    __slots__ = ("op", "args")
+    __slots__ = ("op", "args", "_key", "_fv", "_normal")
 
     def __init__(self, op, args):
         if isinstance(op, str):
@@ -107,9 +127,22 @@ class Call(Expr):
             raise ReproError("Call op must be an Op, got %r" % (op,))
         self.op = op
         self.args = tuple(as_expr(a) for a in args)
+        self._key = self._fv = None
+        self._normal = False
 
     def key(self):
-        return ("call", self.op.name) + tuple(a.key() for a in self.args)
+        key = self._key
+        if key is None:
+            key = self._key = ("call", self.op.name) + tuple(
+                a.key() for a in self.args)
+        return key
+
+    def free_vars(self):
+        fv = self._fv
+        if fv is None:
+            fv = self._fv = _NO_VARS.union(
+                *[a.free_vars() for a in self.args])
+        return fv
 
     def children(self):
         return self.args
@@ -124,16 +157,27 @@ class Call(Expr):
 class Load(Expr):
     """A read of ``buffer[index]`` where buffer is a flat numpy array."""
 
-    __slots__ = ("buffer", "index")
+    __slots__ = ("buffer", "index", "_key", "_fv", "_normal")
 
     def __init__(self, buffer, index):
         if isinstance(buffer, str):
             buffer = Var(buffer)
         self.buffer = buffer
         self.index = as_expr(index)
+        self._key = self._fv = None
+        self._normal = False
 
     def key(self):
-        return ("load", self.buffer.key(), self.index.key())
+        key = self._key
+        if key is None:
+            key = self._key = ("load", self.buffer.key(), self.index.key())
+        return key
+
+    def free_vars(self):
+        fv = self._fv
+        if fv is None:
+            fv = self._fv = self.buffer.free_vars() | self.index.free_vars()
+        return fv
 
     def children(self):
         return (self.buffer, self.index)

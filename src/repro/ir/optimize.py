@@ -73,6 +73,9 @@ from repro.ir.asm import (
     stmt_reads,
     stmt_stores,
     stmt_writes,
+    with_body,
+    with_branches,
+    with_stmts,
 )
 from repro.ir.nodes import Call, Extent, Literal, Load, Var, substitute
 from repro.ir.ops import MISSING
@@ -198,7 +201,7 @@ def replace_by_key(expr, mapping):
 
 def _namer_for(stmt):
     """A fresh-name supply that avoids every identifier in the tree."""
-    reserved = stmt_reads(stmt) | stmt_writes(stmt) | stmt_stores(stmt)
+    reserved = set(stmt_reads(stmt) | stmt_writes(stmt) | stmt_stores(stmt))
     if isinstance(stmt, FuncDef):
         reserved |= set(stmt.params)
         reserved.add(stmt.name)
@@ -230,7 +233,7 @@ def fold_constants(stmt):
 
 
 def _resolve(expr, env):
-    if env:
+    if env and not expr.free_vars().isdisjoint(env):
         expr = substitute(expr, env)
     return simplify_expr(expr)
 
@@ -246,10 +249,9 @@ def _env_kill(env, names):
 
 def _fold(stmt, env):
     if isinstance(stmt, FuncDef):
-        return FuncDef(stmt.name, stmt.params, _fold(stmt.body, {}),
-                       returns=stmt.returns)
+        return with_body(stmt, _fold(stmt.body, {}))
     if isinstance(stmt, Block):
-        return Block([_fold(child, env) for child in stmt.stmts])
+        return with_stmts(stmt, [_fold(child, env) for child in stmt.stmts])
     if isinstance(stmt, AssignStmt):
         return _fold_assign(stmt, env)
     if isinstance(stmt, AccumStmt):
@@ -266,27 +268,29 @@ def _fold(stmt, env):
     return stmt
 
 
+def _resolve_exprs(stmt, env):
+    return map_statement_exprs(stmt, lambda expr: _resolve(expr, env))
+
+
 def _fold_assign(stmt, env):
-    value = _resolve(stmt.value, env)
-    target = stmt.target
+    stmt = _resolve_exprs(stmt, env)
+    target, value = stmt.target, stmt.value
     if isinstance(target, Load):
-        return AssignStmt(Load(target.buffer, _resolve(target.index, env)),
-                          value)
+        return stmt
     name = target.name
     if isinstance(value, Var) and value.name == name:
         return Nop()
     _env_kill(env, {name})
     if isinstance(value, (Literal, Var)):
         env[name] = value
-    return AssignStmt(target, value)
+    return stmt
 
 
 def _fold_accum(stmt, env):
-    value = _resolve(stmt.value, env)
-    target = stmt.target
+    stmt = _resolve_exprs(stmt, env)
+    target, value = stmt.target, stmt.value
     if isinstance(target, Load):
-        return AccumStmt(Load(target.buffer, _resolve(target.index, env)),
-                         stmt.op, value)
+        return stmt
     name = target.name
     prior = env.get(name)
     if isinstance(prior, Literal) and isinstance(value, Literal) \
@@ -296,31 +300,29 @@ def _fold_accum(stmt, env):
         env[name] = folded
         return AssignStmt(target, folded)
     _env_kill(env, {name})
-    return AccumStmt(target, stmt.op, value)
+    return stmt
 
 
 def _fold_for(stmt, env):
-    start = _resolve(stmt.start, env)
-    stop = _resolve(stmt.stop, env)
-    length = Extent(start, stop).static_length()
+    stmt = _resolve_exprs(stmt, env)
+    length = Extent(stmt.start, stmt.stop).static_length()
     if length == 0:
         return Nop()
     if length == 1:
         # Unroll the single iteration; the loop-variable assignment
         # feeds propagation and dead-code cleans it up if unused.
-        return _fold(Block([AssignStmt(stmt.var, start), stmt.body]), env)
+        return _fold(Block([AssignStmt(stmt.var, stmt.start), stmt.body]),
+                     env)
     _env_kill(env, stmt_writes(stmt.body) | {stmt.var.name})
-    body = _fold(stmt.body, dict(env))
-    return ForLoop(stmt.var, start, stop, body)
+    return with_body(stmt, _fold(stmt.body, dict(env)))
 
 
 def _fold_while(stmt, env):
     _env_kill(env, stmt_writes(stmt.body))
-    cond = _resolve(stmt.cond, env)
-    if _literal_truth(cond) is False:
+    stmt = _resolve_exprs(stmt, env)
+    if _literal_truth(stmt.cond) is False:
         return Nop()
-    body = _fold(stmt.body, dict(env))
-    return WhileLoop(cond, body)
+    return with_body(stmt, _fold(stmt.body, dict(env)))
 
 
 def _fold_if(stmt, env):
@@ -346,7 +348,7 @@ def _fold_if(stmt, env):
     for _, body in branches:
         killed |= stmt_writes(body)
     _env_kill(env, killed)
-    return If(branches)
+    return with_branches(stmt, branches)
 
 
 # --------------------------------------------------------------------------
@@ -361,8 +363,7 @@ def dead_code(stmt, live=None):
     """
     if isinstance(stmt, FuncDef):
         live = set(stmt.returns) | (live or set())
-        return FuncDef(stmt.name, stmt.params,
-                       _dce_block(stmt.body, live), returns=stmt.returns)
+        return with_body(stmt, _dce_block(stmt.body, live))
     live = set(live) if live else set()
     if isinstance(stmt, Block):
         return _dce_block(stmt, live)
@@ -377,7 +378,7 @@ def _dce_block(block, live):
         if result is not None:
             kept.append(result)
     kept.reverse()
-    return Block(kept)
+    return with_stmts(block, kept)
 
 
 def _dce_stmt(stmt, live):
@@ -411,7 +412,7 @@ def _dce_stmt(stmt, live):
         body = _dce_block(stmt.body, inner)
         live |= inner
         live |= stmt.start.free_vars() | stmt.stop.free_vars()
-        return ForLoop(stmt.var, stmt.start, stmt.stop, body)
+        return with_body(stmt, body)
     if isinstance(stmt, WhileLoop):
         # Never dropped: a (mis)compiled infinite loop should stay
         # observable rather than silently vanish.
@@ -425,7 +426,7 @@ def _dce_stmt(stmt, live):
         # regardless of what the body does (found by the fuzz engine:
         # an initializer feeding only the condition was deleted).
         live |= stmt.cond.free_vars()
-        return WhileLoop(stmt.cond, body)
+        return with_body(stmt, body)
     if isinstance(stmt, If):
         processed = []
         for cond, body in stmt.branches:
@@ -442,7 +443,8 @@ def _dce_stmt(stmt, live):
             live |= branch_live
             if cond is not None:
                 live |= cond.free_vars()
-        return If([(cond, body) for cond, body, _ in processed])
+        return with_branches(
+            stmt, [(cond, body) for cond, body, _ in processed])
     if isinstance(stmt, Raw):
         live |= raw_identifiers(stmt.line)
         return stmt
@@ -499,7 +501,7 @@ def _hoist_loop(loop, namer, loop_var):
     body = loop.body
     mutated = stmt_writes(body)
     if loop_var is not None:
-        mutated.add(loop_var)
+        mutated = mutated | {loop_var}
     stored = stmt_stores(body)
     seen, candidates = set(), []
     if loop_var is None:
@@ -540,12 +542,13 @@ def _hoist_loop(loop, namer, loop_var):
 class _Avail:
     """One available expression: where it was defined, and its temp."""
 
-    __slots__ = ("expr", "index", "temp")
+    __slots__ = ("expr", "index", "temp", "buffers")
 
-    def __init__(self, expr, index, temp=None):
+    def __init__(self, expr, index, buffers):
         self.expr = expr
         self.index = index
-        self.temp = temp
+        self.temp = None
+        self.buffers = buffers
 
 
 def eliminate_common_subexprs(stmt, namer=None):
@@ -590,7 +593,7 @@ def _cse_block(block, namer):
             return
         for key, record in list(avail.items()):
             if record.expr.free_vars() & writes \
-                    or load_buffers(record.expr) & stores \
+                    or record.buffers & stores \
                     or (record.temp is not None
                         and record.temp.name in writes):
                 del avail[key]
@@ -635,10 +638,12 @@ def _cse_block(block, namer):
                 key = expr.key()
                 if key in avail:
                     continue
-                if expr.free_vars() & writes \
-                        or load_buffers(expr) & stores:
+                if expr.free_vars() & writes:
                     continue
-                avail[key] = _Avail(expr, len(out))
+                buffers = load_buffers(expr)
+                if buffers & stores:
+                    continue
+                avail[key] = _Avail(expr, len(out), buffers)
         if isinstance(stmt, AssignStmt) and isinstance(stmt.target, Var) \
                 and isinstance(stmt.value, (Call, Load)):
             record = avail.get(stmt.value.key())
@@ -647,7 +652,7 @@ def _cse_block(block, namer):
                 # The assignment itself is the temp for its value.
                 record.temp = Var(stmt.target.name)
         out.append(stmt)
-    return Block(out)
+    return with_stmts(block, out)
 
 
 # --------------------------------------------------------------------------
@@ -905,16 +910,16 @@ PIPELINE = {
 
 
 def _scalar_cleanup(stmt, rounds=4):
-    """fold+dce to a (bounded) fixpoint, detected on statement shape."""
-    from repro.ir.emit import emit
+    """fold+dce to a (bounded) fixpoint.
 
-    previous = emit(stmt)
+    A round that changes nothing returns the very same tree (the passes
+    keep unchanged nodes), so the fixpoint test is node identity.
+    """
     for _ in range(rounds):
+        previous = stmt
         stmt = dead_code(fold_constants(stmt))
-        rendered = emit(stmt)
-        if rendered == previous:
+        if stmt is previous:
             break
-        previous = rendered
     return stmt
 
 

@@ -6,7 +6,7 @@ debugging and for the golden tests that assert the *shape* of the code
 the paper's worked examples should produce.
 """
 
-from repro.ir.nodes import Call, Expr, Literal, Load, Var
+from repro.ir.nodes import Call, Literal, Load, Var
 from repro.ir.ops import MISSING
 from repro.util.errors import ReproError
 
@@ -91,9 +91,3 @@ def lhs_source(target):
     if isinstance(target, Load):
         return "%s[%s]" % (target.buffer.name, expr_source(target.index))
     raise ReproError("invalid assignment target: %r" % (target,))
-
-
-def ensure_expr(expr):
-    if not isinstance(expr, Expr):
-        raise ReproError("expected an IR expression, got %r" % (expr,))
-    return expr

@@ -34,21 +34,29 @@ class Namer:
     'p_2'
     >>> n.fresh("while")
     'while_'
+    >>> Namer(reserved={"t", "t_2"}).fresh("t")
+    't_3'
     """
 
     def __init__(self, reserved=()):
         self._counts = {}
-        for name in reserved:
-            self._counts[name] = 1
+        self._taken = set(reserved)
 
     def fresh(self, hint="v"):
+        """A name derived from ``hint`` that is neither reserved nor
+        already issued (``t_2`` is skipped when it was reserved, even
+        though it is also the second name ``fresh("t")`` would try)."""
         base = sanitize(hint)
-        count = self._counts.get(base, 0) + 1
+        count = self._counts.get(base, 0)
+        while True:
+            count += 1
+            name = base if count == 1 else "%s_%d" % (base, count)
+            if name not in self._taken:
+                break
         self._counts[base] = count
-        if count == 1:
-            return base
-        return "%s_%d" % (base, count)
+        self._taken.add(name)
+        return name
 
     def reserve(self, name):
         """Mark ``name`` as taken without returning it."""
-        self._counts[name] = max(self._counts.get(name, 0), 1)
+        self._taken.add(name)

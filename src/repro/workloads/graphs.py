@@ -78,14 +78,3 @@ def snap_like_suite(seed=0):
         "p2p_like_sparse": erdos_renyi_adjacency(160, 0.02, seed=seed + 3),
         "social_like_hubs": hub_adjacency(150, 3, 0.015, seed=seed + 4),
     }
-
-
-def _dense_core_graph(n, core, seed=0):
-    """A dense core with a sparse periphery (social-network shape)."""
-    rng = np.random.default_rng(seed)
-    adj = erdos_renyi_adjacency(n, 0.02, seed=seed)
-    core_block = (rng.random((core, core)) < 0.5).astype(float)
-    core_block = np.triu(core_block, 1)
-    adj[:core, :core] = np.maximum(adj[:core, :core],
-                                   core_block + core_block.T)
-    return adj

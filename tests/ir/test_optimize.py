@@ -6,12 +6,15 @@ the emitted source (LICM and CSE on the paper's SpMSpV kernel, numpy
 vectorization on dense loops).
 """
 
+import re
+
 import numpy as np
 import pytest
 
 import repro.lang as fl
 from repro.bench.kernels import spmspv_program
 from repro.ir import asm, build, ops
+from repro.ir import optimize as optimize_mod
 from repro.ir.emit import emit
 from repro.ir.nodes import Literal, Load, Var
 from repro.ir.optimize import (
@@ -27,6 +30,7 @@ from repro.ir.optimize import (
     optimize_kernel,
     vectorize,
 )
+from repro.util.namer import Namer
 
 
 def func_of(*stmts, params=("buf",), returns=()):
@@ -571,3 +575,37 @@ class TestGoldenKernels:
                                           Literal(1.0)))
         func = func_of(loop, params=("out",))
         assert optimize_kernel(func, 0) is func
+
+
+class TestFreshNames:
+    """Optimizer temporaries never shadow a name of the lowered code."""
+
+    def test_cse_temp_avoids_lowered_index_names(self, monkeypatch):
+        # The index is named like the second CSE temp ("t", "t_2"):
+        # a temp reusing it would clobber the loop variable and make
+        # ``if t_2:`` read the index instead of the shared condition.
+        issued = []
+
+        class RecordingNamer(Namer):
+            def fresh(self, hint="v"):
+                name = super().fresh(hint)
+                issued.append(name)
+                return name
+
+        monkeypatch.setattr(optimize_mod, "Namer", RecordingNamer)
+        n = 12
+        a = np.arange(n, dtype=float) + 1.0
+        b = np.zeros(n)
+        b[[2, 5, 7]] = [1.0, 2.0, 3.0]
+        A = fl.from_numpy(a, ("dense",), name="A")
+        B = fl.from_numpy(b, ("sparse",), name="B")
+        C = fl.from_numpy(np.zeros(n), ("dense",), name="C")
+        i = fl.indices("t_2")
+        prog = fl.forall(i, fl.store(C[i], A[i] * B[i]))
+        kernel = fl.compile_kernel(prog, cache=False, opt_level=1)
+        assert issued, "the optimizer introduced no temporaries"
+        lowered = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*",
+                                 kernel.raw_source))
+        assert not lowered & set(issued)
+        kernel.run()
+        np.testing.assert_allclose(C.to_numpy(), a * b)

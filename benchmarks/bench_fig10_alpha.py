@@ -98,7 +98,8 @@ def test_report_fig10_optimization(write_report, write_json_report):
     table, payload = optimization_table(
         "Figure 10 optimization: RLE alpha blend (digit-like)",
         lambda: alpha_blend_program(img_b, img_c, ALPHA, BETA,
-                                    "rle")[0])
+                                    "rle")[0],
+        backends=("c",))
     write_report("fig10_alpha_optimization", [table])
     write_json_report("fig10_alpha", payload)
     assert payload["max_abs_diff"] == 0.0

@@ -129,10 +129,12 @@ def test_report_fig11_optimization(write_report, write_json_report):
     data = batch("digit", 20)
     vbl_table, vbl_payload = optimization_table(
         "Figure 11 optimization: all-pairs (vbl)",
-        lambda: all_pairs_similarity_program(data, "vbl")[0])
+        lambda: all_pairs_similarity_program(data, "vbl")[0],
+        backends=("c",))
     dense_table, dense_payload = optimization_table(
         "Figure 11 optimization: all-pairs (dense)",
-        lambda: all_pairs_similarity_program(data, "dense")[0])
+        lambda: all_pairs_similarity_program(data, "dense")[0],
+        backends=("c",))
     write_report("fig11_allpairs_optimization",
                  [vbl_table, dense_table])
     write_json_report("fig11_allpairs", {"vbl": vbl_payload,

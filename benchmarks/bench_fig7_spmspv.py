@@ -145,7 +145,8 @@ def test_report_fig7_optimization(suite, write_report,
     vec = make_x("dense10pct", seed=7)
     table, payload = optimization_table(
         "Figure 7 optimization: SpMSpV walk_walk (pores-like)",
-        lambda: spmspv_program(mat, vec, "walk_walk")[0])
+        lambda: spmspv_program(mat, vec, "walk_walk")[0],
+        backends=("c",))
     write_report("fig7_spmspv_optimization", [table])
     write_json_report("fig7_spmspv", payload)
     assert payload["max_abs_diff"] < 1e-9

@@ -87,7 +87,8 @@ def test_report_fig8_optimization(suite, write_report,
     adj = suite["ca_like_powerlaw"]
     table, payload = optimization_table(
         "Figure 8 optimization: gallop triangle count (ca-like)",
-        lambda: triangle_count_program(adj, "gallop")[0])
+        lambda: triangle_count_program(adj, "gallop")[0],
+        backends=("c",))
     write_report("fig8_triangles_optimization", [table])
     write_json_report("fig8_triangles", payload)
     assert payload["max_abs_diff"] == 0.0

@@ -90,7 +90,8 @@ def test_report_fig9_optimization(write_report, write_json_report):
     grid = make_grid(0.05, seed=3)
     table, payload = optimization_table(
         "Figure 9 optimization: masked convolution (5% density)",
-        lambda: masked_convolution_program(grid, FILTER)[0])
+        lambda: masked_convolution_program(grid, FILTER)[0],
+        backends=("c",))
     write_report("fig9_convolution_optimization", [table])
     write_json_report("fig9_convolution", payload)
     assert payload["max_abs_diff"] < 1e-12

@@ -1,19 +1,23 @@
-"""Lower the optimized target AST to C99.
+"""Lower the scalar target AST to C99.
 
-The emitter consumes exactly the :mod:`repro.ir.asm` statement tree the
-python backend would render (:mod:`repro.ir.emit`) — *after* the
-optimizer pipeline ran — and produces one self-contained C99
-translation unit exporting ``int64_t <name>(void **args)``.  Every
-kernel parameter arrives as one slot of the ``args`` pointer array and
-is cast to its typed pointer in the prologue; buffer element types are
-fixed at compile time from the seed arrays' dtypes, which is sound
-because format signatures pin dtypes across rebinds (see
+The emitter consumes the :mod:`repro.ir.asm` statement tree after the
+*scalar* optimizer passes (``optimize_kernel(tree, 1)``: folding, dead
+code, LICM, CSE).  Vectorization is a python-target pass — its numpy
+slice lines have no C meaning, and ``cc -O2`` vectorizes the scalar
+loops itself — so :func:`repro.compiler.kernel._compile_artifact`
+emits C from the opt-1 tree whatever ``opt_level`` the python artifact
+uses.  The result is one self-contained C99 translation unit exporting
+``int64_t <name>(void **args)``.  Every kernel parameter arrives as
+one slot of the ``args`` pointer array and is cast to its typed
+pointer in the prologue; buffer element types are fixed at compile
+time from the seed arrays' dtypes, which is sound because format
+signatures pin dtypes across rebinds (see
 :meth:`repro.compiler.kernel.CompiledKernel.bind`).
 
 Semantics contract: emitted C must be **bit-identical** to the python
 backend on every supported kernel (the ``c_backend`` fuzz oracle and
 ``tests/codegen`` enforce this).  The translation therefore reproduces
-Python arithmetic exactly where C differs:
+Python semantics exactly where C differs:
 
 * ``/`` always divides in ``double`` (``fl_div``),
 * ``//`` and ``%`` use floor-division / sign-of-divisor semantics
@@ -23,14 +27,22 @@ Python arithmetic exactly where C differs:
 * ``round_u8`` rounds half-to-even (``rint`` under the default
   rounding mode, matching Python's ``round``),
 * the ``search_ge``/``search_abs_ge`` protocol helpers are the same
-  binary searches as :mod:`repro.ir.runtime`, over the typed pointer.
+  binary searches as :mod:`repro.ir.runtime`, over the typed pointer,
+* a ``for`` loop steps a hidden induction variable and copies it into
+  the kernel's loop variable at the top of every iteration, so the
+  variable reads ``stop - 1`` after the loop, keeps its value over a
+  zero-trip loop, and can be reassigned in the body without changing
+  the iteration — Python's ``for i in range(...)`` exactly,
+* ``coalesce`` returns its first operand: a value the emitter can type
+  is never missing,
+* a :class:`~repro.ir.asm.Fill` output reset is a plain store loop
+  over its (signature-fixed) length.
 
 Anything the emitter cannot translate with that guarantee raises
-:class:`CUnsupportedError` — :class:`Raw` statements (vectorized numpy
-slices, output-builder method calls), ``missing``/``coalesce``,
-unregistered ops, buffers outside :data:`SUPPORTED_DTYPES`, and loop
-variables read after their loop (Python leaves ``stop - 1``, C leaves
-``stop``).  The caller falls back to the python backend.
+:class:`CUnsupportedError` — :class:`Raw` statements (output-builder
+method calls), ``missing`` literals (``permit``), unregistered ops and
+buffers outside :data:`SUPPORTED_DTYPES`.  The caller falls back to
+the python backend.
 """
 
 from repro.ir import asm
@@ -185,17 +197,8 @@ class _Emitter:
 
     # -- analysis ------------------------------------------------------
     def analyze(self):
-        self._reject_raw()
         self._infer_types()
-        self._check_loop_vars()
         self._build_renames()
-
-    def _reject_raw(self):
-        for node in asm.walk_statements(self.func):
-            if isinstance(node, asm.Raw):
-                raise CUnsupportedError(
-                    "opaque statement %r (vectorized numpy or builder "
-                    "call)" % node.line)
 
     def _infer_types(self):
         for _ in range(8):
@@ -245,6 +248,27 @@ class _Emitter:
                 self._sweep(body)
         elif isinstance(stmt, asm.FuncDef):
             self._sweep(stmt.body)
+        elif isinstance(stmt, asm.Fill):
+            self._fill_value(stmt)
+        elif isinstance(stmt, asm.Raw):
+            raise CUnsupportedError(
+                "opaque statement %r (output builder call)" % stmt.line)
+
+    def _fill_value(self, stmt):
+        """C source of the value a :class:`~repro.ir.asm.Fill` stores,
+        cast to the buffer's element type the way numpy's ``fill``
+        converts it."""
+        elem = self._param_elem(stmt.buffer, "fill target")
+        value = stmt.value
+        if hasattr(value, "item"):
+            value = value.item()
+        exact = isinstance(value, (bool, int)) or (
+            isinstance(value, float)
+            and (elem is not I64 or value.is_integer()))
+        if not exact or (elem is I64 and abs(value) >= 2 ** 63):
+            raise CUnsupportedError(
+                "fill value %r of a %s buffer" % (stmt.value, elem))
+        return "(%s) %s" % (_CTYPE[elem], self._render_literal(value))
 
     def _assign(self, name, value_type):
         if name in self.params:
@@ -340,6 +364,11 @@ class _Emitter:
             return F64
         if name == "ifelse":
             return _join(arg_types[1], arg_types[2])
+        if name == "coalesce":
+            # A value the C emitter can type is never missing (missing
+            # literals raise in ``_expr_type``), so the first operand
+            # is always the result.
+            return arg_types[0]
         if name == "round_u8":
             return I64
         if name in ("search_ge", "search_abs_ge"):
@@ -351,57 +380,6 @@ class _Emitter:
                         "%s over a non-int64 buffer" % name)
             return I64
         raise CUnsupportedError("operator %r has no C lowering" % name)
-
-    def _check_loop_vars(self):
-        """Reject loop variables read outside their loop.
-
-        Python's ``for`` leaves the variable at ``stop - 1`` after the
-        loop; the emitted C ``for`` leaves it at ``stop``.  Any mention
-        of the variable outside the loop's own subtree could observe
-        the difference, so such kernels fall back.
-        """
-        for node in asm.walk_statements(self.func):
-            if isinstance(node, asm.ForLoop):
-                if node.var.name in asm.stmt_writes(node.body):
-                    raise CUnsupportedError(
-                        "loop variable %r reassigned inside its loop"
-                        % node.var.name)
-                if self._mentions(self.func.body, node.var.name, node):
-                    raise CUnsupportedError(
-                        "loop variable %r used outside its loop"
-                        % node.var.name)
-
-    def _mentions(self, stmt, name, skip):
-        if stmt is skip:
-            return False
-        if isinstance(stmt, asm.Block):
-            return any(self._mentions(s, name, skip)
-                       for s in stmt.stmts)
-        if isinstance(stmt, (asm.ForLoop, asm.WhileLoop, asm.FuncDef)):
-            header = set()
-            if isinstance(stmt, asm.ForLoop):
-                header = (stmt.start.free_vars()
-                          | stmt.stop.free_vars() | {stmt.var.name})
-            elif isinstance(stmt, asm.WhileLoop):
-                header = stmt.cond.free_vars()
-            return (name in header
-                    or self._mentions(stmt.body, name, skip))
-        if isinstance(stmt, asm.If):
-            for cond, body in stmt.branches:
-                if cond is not None and name in cond.free_vars():
-                    return True
-                if self._mentions(body, name, skip):
-                    return True
-            return False
-        if isinstance(stmt, (asm.AssignStmt, asm.AccumStmt)):
-            if name in stmt.value.free_vars():
-                return True
-            target = stmt.target
-            if isinstance(target, Var):
-                return target.name == name
-            return (target.buffer.name == name
-                    or name in target.index.free_vars())
-        return False
 
     def _build_renames(self):
         taken = set()
@@ -418,9 +396,9 @@ class _Emitter:
     def _cname(self, name):
         return self.renames.get(name, name)
 
-    def _fresh_temp(self):
+    def _fresh_temp(self, stem):
         self._temp += 1
-        return "fl_stop_%d" % self._temp
+        return "fl_%s_%d" % (stem, self._temp)
 
     # -- expression rendering ------------------------------------------
     def _render(self, expr):
@@ -531,6 +509,8 @@ class _Emitter:
             then = self._render(args[1])[0]
             otherwise = self._render(args[2])[0]
             return "(%s ? %s : %s)" % (cond, then, otherwise), _ATOM
+        if name == "coalesce":
+            return self._render(args[0])
         if name in ("search_ge", "search_abs_ge"):
             buffer = self._cname(args[0].name)
             rest = ", ".join(self._render(arg)[0] for arg in args[1:])
@@ -554,17 +534,31 @@ class _Emitter:
         elif isinstance(stmt, asm.AccumStmt):
             lines.append(pad + self._accumulation(stmt))
         elif isinstance(stmt, asm.ForLoop):
-            stop = self._fresh_temp()
-            var = self._cname(stmt.var.name)
+            # A hidden induction variable, copied into the kernel's
+            # loop variable on every iteration, is Python's ``range``
+            # loop exactly: the variable ends at ``stop - 1`` (or is
+            # untouched by a zero-trip loop), and assigning it in the
+            # body does not change the iteration.
+            stop = self._fresh_temp("stop")
+            step = self._fresh_temp("i")
             lines.append("%s{" % pad)
             lines.append("%s    int64_t %s = %s;" % (
                 pad, stop, self._render(stmt.stop)[0]))
-            lines.append("%s    for (%s = %s; %s < %s; %s++) {" % (
-                pad, var, self._render(stmt.start)[0], var, stop,
-                var))
+            lines.append("%s    for (int64_t %s = %s; %s < %s; %s++) {" % (
+                pad, step, self._render(stmt.start)[0], step, stop,
+                step))
+            lines.append("%s        %s = %s;" % (
+                pad, self._cname(stmt.var.name), step))
             self._emit(stmt.body, depth + 2, lines)
             lines.append("%s    }" % pad)
             lines.append("%s}" % pad)
+        elif isinstance(stmt, asm.Fill):
+            step = self._fresh_temp("k")
+            lines.append(
+                "%sfor (int64_t %s = 0; %s < INT64_C(%d); %s++) %s[%s] = %s;"
+                % (pad, step, step, stmt.size, step,
+                   self._cname(stmt.buffer.name), step,
+                   self._fill_value(stmt)))
         elif isinstance(stmt, asm.WhileLoop):
             lines.append("%swhile (%s) {" % (
                 pad, self._render(stmt.cond)[0]))

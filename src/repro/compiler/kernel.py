@@ -693,7 +693,8 @@ def _compile_artifact(program, keyed, instrument, name,
     artifact.  ``keyed`` is the program's
     :class:`~repro.cin.analyze.KeyedProgram`.
 
-    With ``backend="c"`` the optimized target AST is additionally
+    With ``backend="c"`` the target AST after the scalar optimizer
+    passes (level ``min(opt_level, 1)``: no vectorizer) is additionally
     lowered to C99 and compiled into a shared object
     (:mod:`repro.codegen`); the python function is always built too —
     it is the fallback entry and the reference the differential tests
@@ -728,8 +729,9 @@ def _compile_artifact(program, keyed, instrument, name,
                        asm.Block(preamble + [body] + epilogue),
                        returns=returns)
     raw_source = emit(func)
+    lowered = func
     if opt_level > 0:
-        func = optimize_kernel(func, opt_level)
+        func = optimize_kernel(lowered, opt_level)
         source = emit(func)
     else:
         source = raw_source
@@ -751,8 +753,12 @@ def _compile_artifact(program, keyed, instrument, name,
                         "parameter %r is %r, not an ndarray"
                         % (pname, type(array).__name__))
                 dtype_map[pname] = str(array.dtype)
-            c_source = codegen.emit_c(func, dtype_map)
-            c_param_dtypes = [dtype_map[p] for p in func.params]
+            # Vectorization is a python-target pass: C takes the scalar
+            # tree, and ``cc -O2`` vectorizes its loops.
+            scalar = (func if opt_level <= 1
+                      else optimize_kernel(lowered, 1))
+            c_source = codegen.emit_c(scalar, dtype_map)
+            c_param_dtypes = [dtype_map[p] for p in scalar.params]
         except codegen.CUnsupportedError as exc:
             codegen.note_fallback(name, str(exc))
             c_source = None

@@ -14,6 +14,8 @@ passes, which is how entire subregions of work disappear when a sparse
 operand contributes a run of fill.
 """
 
+import math
+
 from repro.cin.nodes import (
     Access,
     Assign,
@@ -212,7 +214,11 @@ class Lowerer:
             self.ctx.emit(asm.AssignStmt(var, fill_literal(tensor)))
             return
         buf = self.ctx.buffer(tensor.element.val, tensor.name + "_val")
-        self.ctx.emit(asm.Raw("%s.fill(%r)" % (buf.name, tensor.fill)))
+        # Outputs are written through ``locate`` (dense or bitmap
+        # levels), so the value buffer holds one element per
+        # coordinate and its length is fixed by the shape.
+        self.ctx.emit(asm.Fill(buf, tensor.fill,
+                               math.prod(tensor.shape)))
 
     # -- foralls -----------------------------------------------------------
     def lower_forall(self, stmt):

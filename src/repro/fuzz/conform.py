@@ -105,13 +105,19 @@ class Divergence:
 
 
 class CaseReport:
-    """Everything one conformance run learned about one spec."""
+    """Everything one conformance run learned about one spec.
 
-    def __init__(self, spec, divergences, oracles_run, seconds):
+    ``c_effective`` says whether the ``c_backend`` oracle actually ran
+    the kernel in C (False when it fell back to python or crashed).
+    """
+
+    def __init__(self, spec, divergences, oracles_run, seconds,
+                 c_effective=False):
         self.spec = spec
         self.divergences = divergences
         self.oracles_run = tuple(oracles_run)
         self.seconds = seconds
+        self.c_effective = c_effective
 
     @property
     def ok(self):
@@ -344,8 +350,10 @@ def conform_spec(spec, profile="quick", chaos=False):
                 "%d vs %d" % (compiled_ops[0], compiled_ops[level])))
 
     oracles_run.append("c_backend")
+    c_effective = False
     try:
         got, n_ops, effective = _run_c_backend(spec)
+        c_effective = effective == "c"
         _compare(divergences, "interpreter",
                  "c_backend[%s]" % effective, expected, got)
         if 2 in compiled_ops and n_ops != compiled_ops[2]:
@@ -453,7 +461,7 @@ def conform_spec(spec, profile="quick", chaos=False):
                          what="output[dataset %d]" % pos)
 
     return CaseReport(spec, divergences, oracles_run,
-                      time.perf_counter() - start)
+                      time.perf_counter() - start, c_effective)
 
 
 def fuzz_one(seed, profile="quick", chaos=False):

@@ -46,7 +46,7 @@ class CampaignResult:
     """The outcome of one :func:`run_fuzz` campaign."""
 
     def __init__(self, seed, budget, profile, cases, failures,
-                 seconds, chaos=False):
+                 seconds, chaos=False, c_effective=0):
         self.seed = seed
         self.budget = budget
         self.profile = profile
@@ -54,6 +54,7 @@ class CampaignResult:
         self.failures = failures
         self.seconds = seconds
         self.chaos = chaos
+        self.c_effective = c_effective
 
     @property
     def ok(self):
@@ -67,6 +68,8 @@ class CampaignResult:
                 " chaos=on" if self.chaos else ""),
             "cases: %d conformed in %.1fs (%.0f oracle runs)" % (
                 self.cases, self.seconds, self.cases * oracle_count),
+            "C backend: %d/%d cases ran effectively in C" % (
+                self.c_effective, self.cases),
         ]
         if self.ok:
             lines.append("result: PASS — zero divergences across all "
@@ -105,11 +108,13 @@ def run_fuzz(seed=0, budget=200, profile="quick",
     start = time.perf_counter()
     failures = []
     cases = 0
+    c_effective = 0
     for step in range(budget):
         derived = case_seed(seed, step)
         spec = generate_spec(derived, profile)
         report = conform_spec(spec, profile=profile, chaos=chaos)
         cases += 1
+        c_effective += report.c_effective
         if log is not None and (step + 1) % 50 == 0:
             log("  ... %d/%d cases, %d failure(s)"
                 % (step + 1, budget, len(failures)))
@@ -152,4 +157,5 @@ def run_fuzz(seed=0, budget=200, profile="quick",
         if len(failures) >= max_failures:
             break
     return CampaignResult(seed, budget, profile, cases, failures,
-                          time.perf_counter() - start, chaos=chaos)
+                          time.perf_counter() - start, chaos=chaos,
+                          c_effective=c_effective)

@@ -10,8 +10,8 @@ machinery the optimizer pipeline (:mod:`repro.ir.optimize`) is built
 on: a postorder statement rewriter (:func:`map_statements`), a
 per-statement expression rewriter (:func:`map_statement_exprs`), and a
 conservative effects analysis (:func:`stmt_reads`, :func:`stmt_writes`,
-:func:`stmt_stores`) that treats :class:`Raw` lines as touching every
-identifier they mention.
+:func:`stmt_stores`) that treats :class:`Raw` and :class:`Fill` lines
+as touching every identifier they mention.
 
 Statement nodes are immutable, so each one computes its effects once:
 an :class:`Effects` record of frozensets, built from its children's
@@ -168,6 +168,29 @@ class Raw(Stmt):
 
     def __init__(self, line):
         self.line = line
+
+
+class Fill(Stmt):
+    """``buffer[0:size] = value``: reset a dense output's value buffer.
+
+    ``size`` is the buffer's flat length, fixed by the output's format
+    signature; ``value`` is the tensor's fill value as given (python
+    renders ``buffer.fill(value)`` with its ``repr``).
+    """
+
+    __slots__ = ("buffer", "value", "size")
+
+    def __init__(self, buffer, value, size):
+        if isinstance(buffer, str):
+            buffer = Var(buffer)
+        self.buffer = buffer
+        self.value = value
+        self.size = int(size)
+
+    @property
+    def line(self):
+        """The python source line (``buf.fill(value)``)."""
+        return "%s.fill(%r)" % (self.buffer.name, self.value)
 
 
 class FuncDef(Stmt):
@@ -375,7 +398,9 @@ def _compute_effects(stmt):
             [cond for cond, _ in stmt.branches if cond is not None])
     if isinstance(stmt, FuncDef):
         return stmt_effects(stmt.body)
-    if isinstance(stmt, Raw):
+    if isinstance(stmt, (Raw, Fill)):
+        # A Fill counts as the opaque python line it renders
+        # (``buf.fill(v)`` rewrites the whole buffer).
         names = frozenset(raw_identifiers(stmt.line))
         return Effects(names, names, names)
     return _NO_EFFECTS

@@ -39,7 +39,7 @@ def _emit(stmt, depth, lines):
         _emit_body(stmt.body, depth + 1, lines)
     elif isinstance(stmt, asm.If):
         _emit_if(stmt, depth, lines)
-    elif isinstance(stmt, asm.Raw):
+    elif isinstance(stmt, (asm.Raw, asm.Fill)):
         lines.append(pad + stmt.line)
     elif isinstance(stmt, asm.FuncDef):
         lines.append("%sdef %s(%s):" % (pad, stmt.name,

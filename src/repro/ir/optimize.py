@@ -47,9 +47,11 @@ with composable passes over :mod:`repro.ir.asm` statements:
 The pipeline is exposed as :func:`optimize_kernel`, keyed by an
 ``opt_level``: 0 = untouched, 1 = scalar passes only, 2 (the default
 used by :mod:`repro.compiler.kernel`) = scalar passes plus
-vectorization.  Every pass is conservative around :class:`~
-repro.ir.asm.Raw` statements, which are treated as reading and
-writing every identifier they mention.
+vectorization.  Vectorization targets the python emitter only: the C
+backend emits from the level-1 tree.  Every pass is conservative
+around :class:`~repro.ir.asm.Raw` and :class:`~repro.ir.asm.Fill`
+statements, which are treated as reading and writing every
+identifier they mention.
 """
 
 import re
@@ -60,6 +62,7 @@ from repro.ir.asm import (
     AssignStmt,
     Block,
     Comment,
+    Fill,
     ForLoop,
     FuncDef,
     If,
@@ -69,7 +72,6 @@ from repro.ir.asm import (
     load_buffers,
     map_statement_exprs,
     map_statements,
-    raw_identifiers,
     stmt_reads,
     stmt_stores,
     stmt_writes,
@@ -262,9 +264,8 @@ def _fold(stmt, env):
         return _fold_while(stmt, env)
     if isinstance(stmt, If):
         return _fold_if(stmt, env)
-    if isinstance(stmt, Raw):
-        _env_kill(env, raw_identifiers(stmt.line))
-        return stmt
+    if isinstance(stmt, (Raw, Fill)):
+        _env_kill(env, stmt_writes(stmt))
     return stmt
 
 
@@ -445,8 +446,8 @@ def _dce_stmt(stmt, live):
                 live |= cond.free_vars()
         return with_branches(
             stmt, [(cond, body) for cond, body, _ in processed])
-    if isinstance(stmt, Raw):
-        live |= raw_identifiers(stmt.line)
+    if isinstance(stmt, (Raw, Fill)):
+        live |= stmt_reads(stmt)
         return stmt
     if isinstance(stmt, Nop):
         return None

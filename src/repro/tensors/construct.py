@@ -29,12 +29,23 @@ from repro.util.errors import FormatError
 _PACKBITS_MIN_RUN = 3
 
 
-def _is_fill(slice_, fill):
-    return bool(np.all(slice_ == fill))
+def _stored(fiber, fill):
+    """Per coordinate of ``fiber``: does its slice hold a non-fill value?
+
+    One vectorized comparison per fiber (``~(s == fill)``, reduced over
+    the trailing modes), so NaN fills store everything and ``-0.0``
+    counts as a ``0.0`` fill, exactly like an elementwise ``==``.
+    """
+    is_fill = np.asarray(fiber == fill)
+    if is_fill.ndim > 1:
+        is_fill = is_fill.all(axis=tuple(range(1, is_fill.ndim)))
+    return ~is_fill
 
 
 def _build_dense(slices, dim, fill):
-    children = [s[j] for s in slices for j in range(dim)]
+    children = []
+    for s in slices:
+        children.extend(s)
     return {}, children
 
 
@@ -43,10 +54,9 @@ def _build_sparse(slices, dim, fill):
     idx = []
     children = []
     for s in slices:
-        for j in range(dim):
-            if not _is_fill(s[j], fill):
-                idx.append(j)
-                children.append(s[j])
+        stored = np.flatnonzero(_stored(s, fill))
+        idx.extend(stored.tolist())
+        children.extend(s[stored])
         pos.append(len(idx))
     return {"pos": pos, "idx": idx}, children
 
@@ -56,11 +66,11 @@ def _build_band(slices, dim, fill):
     lo = []
     children = []
     for s in slices:
-        stored = [j for j in range(dim) if not _is_fill(s[j], fill)]
-        if stored:
-            first, last = stored[0], stored[-1]
+        stored = np.flatnonzero(_stored(s, fill))
+        if stored.size:
+            first, last = int(stored[0]), int(stored[-1])
             lo.append(first)
-            children.extend(s[j] for j in range(first, last + 1))
+            children.extend(s[first:last + 1])
         else:
             lo.append(0)
         pos.append(len(children))
@@ -73,16 +83,15 @@ def _build_vbl(slices, dim, fill):
     ofs = [0]
     children = []
     for s in slices:
-        j = 0
-        while j < dim:
-            if _is_fill(s[j], fill):
-                j += 1
-                continue
-            start = j
-            while j < dim and not _is_fill(s[j], fill):
-                j += 1
-            end.append(j)
-            children.extend(s[k] for k in range(start, j))
+        stored = _stored(s, fill).astype(np.int8)
+        # Blocks are the maximal runs of stored coordinates: a block
+        # starts where the mask rises and ends where it falls.
+        edges = np.diff(stored, prepend=0, append=0)
+        starts = np.flatnonzero(edges == 1)
+        stops = np.flatnonzero(edges == -1)
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            end.append(stop)
+            children.extend(s[start:stop])
             ofs.append(len(children))
         pos.append(len(end))
     return {"pos": pos, "end": end, "ofs": ofs}, children
@@ -153,9 +162,8 @@ def _build_bitmap(slices, dim, fill):
     tbl = []
     children = []
     for s in slices:
-        for j in range(dim):
-            tbl.append(not _is_fill(s[j], fill))
-            children.append(s[j])
+        tbl.extend(_stored(s, fill).tolist())
+        children.extend(s)
     return {"tbl": tbl}, children
 
 
@@ -163,10 +171,9 @@ def _build_ragged(slices, dim, fill):
     pos = [0]
     children = []
     for s in slices:
-        width = dim
-        while width > 0 and _is_fill(s[width - 1], fill):
-            width -= 1
-        children.extend(s[j] for j in range(width))
+        stored = np.flatnonzero(_stored(s, fill))
+        width = int(stored[-1]) + 1 if stored.size else 0
+        children.extend(s[:width])
         pos.append(len(children))
     return {"pos": pos}, children
 
@@ -232,9 +239,8 @@ def from_numpy(arr, formats=None, fill=0.0, name=None):
         spec, slices = _BUILDERS[fmt](slices, arr.shape[mode], fill)
         specs.append((fmt, arr.shape[mode], spec))
 
-    values = np.array([np.asarray(s)[()] for s in slices], dtype=arr.dtype)
-    if len(values) == 0:
-        values = np.zeros(0, dtype=arr.dtype)
+    # Every mode is consumed, so each slice is one element.
+    values = np.array(slices, dtype=arr.dtype).reshape(len(slices))
     element = ElementLevel(values, fill_value=fill)
 
     child = element

@@ -49,10 +49,9 @@ def _vector_data(rng):
 def _dot(fmt, proto, backend, a, b):
     """Compile the fmt/proto dot product on ``backend``; run it.
 
-    ``opt_level=1`` (the full scalar pipeline, no vectorizer): the
-    matrix exercises the C emitter itself, and vectorized kernels take
-    the *designed* fallback path instead — covered separately by
-    :class:`TestUnsupportedConstructFallback`.
+    ``opt_level=1`` (the full scalar pipeline, no vectorizer) keeps
+    the python side scalar too; at ``opt_level=2`` C still emits from
+    the scalar tree (see :class:`TestUnsupportedConstructFallback`).
     """
     A = fl.from_numpy(a, (fmt,), name="A")
     B = fl.from_numpy(b, ("sparse",), name="B")
@@ -113,10 +112,10 @@ class TestDifferentialMatrix:
         assert c_val == py_val == float(np.sum(m @ v))
 
     def test_spmv_dense_output_falls_back_bit_identical(self):
-        # Tensor-output kernels initialize their value buffer with a
-        # numpy ``.fill`` Raw statement the C emitter refuses (buffer
-        # lengths never cross the C ABI), so the whole kernel takes
-        # the designed fallback — and must still be bit-identical.
+        # Tensor-output kernels reset their value buffer with a typed
+        # ``Fill`` whose length the format signature fixes, so they
+        # run in C (the name records the fallback this once was) and
+        # must be bit-identical.
         rng = np.random.default_rng(12)
         m = np.zeros((8, 10))
         m[rng.random((8, 10)) < 0.4] = 2.0
@@ -138,7 +137,7 @@ class TestDifferentialMatrix:
         py_out, _ = run("python")
         c_out, c_kernel = run("c")
         assert c_kernel.backend == "c"
-        assert c_kernel.effective_backend == "python"
+        assert c_kernel.effective_backend == "c"
         np.testing.assert_array_equal(c_out, py_out)
         np.testing.assert_array_equal(py_out, m @ v)
 
@@ -276,6 +275,40 @@ class TestNoCompilerFallback:
 
 @needs_cc
 class TestUnsupportedConstructFallback:
+    """Where C cannot stand in, the kernel falls back; where it once
+    fell back and no longer needs to, the old test name stays and
+    asserts the C run."""
+
+    def test_run_builder_output_falls_back_bit_identical(self):
+        # A run-length output appends through a ``RunBuilder`` object,
+        # which no C buffer can stand for: the kernel must degrade to
+        # python, say why, and stay bit-identical.
+        from repro.bench.kernels import alpha_blend_program
+        from repro.workloads import images
+
+        img_b = images.digit_like(8, seed=4)
+        img_c = images.digit_like(8, seed=5)
+
+        def run(backend):
+            program, out = alpha_blend_program(img_b, img_c, 0.4, 0.6,
+                                               "rle")
+            codegen.clear_fallback_events()
+            kernel = fl.compile_kernel(program, backend=backend,
+                                       cache=False)
+            kernel.run()
+            return out.to_numpy().copy(), kernel
+
+        py_out, _ = run("python")
+        c_out, c_kernel = run("c")
+        assert c_kernel.backend == "c"
+        assert c_kernel.effective_backend == "python"
+        _, reason = codegen.fallback_events()[-1]
+        assert "RunBuilder" in reason
+        np.testing.assert_array_equal(c_out, py_out)
+        blended = 0.4 * img_b.astype(float) + 0.6 * img_c.astype(float)
+        np.testing.assert_array_equal(
+            c_out, np.clip(np.rint(blended), 0, 255).astype(np.uint8))
+
     def test_vectorized_kernel_falls_back(self):
         codegen.clear_fallback_events()
         a = np.arange(1.0, 65.0)
@@ -293,12 +326,14 @@ class TestUnsupportedConstructFallback:
             kernel.run()
             return float(C.value), kernel
 
-        py_val, _ = compile_dense("python")
+        py_val, py_kernel = compile_dense("python")
         c_val, c_kernel = compile_dense("c")
         assert c_kernel.backend == "c"
-        # The vectorizer emits numpy slice Raw statements the C
-        # emitter refuses; the kernel must degrade, not break.
-        assert c_kernel.effective_backend == "python"
+        # Vectorization is a python-target pass: the python kernel
+        # calls numpy, the C kernel is emitted from the scalar tree
+        # (the name records the fallback this once was).
+        assert "_np." in py_kernel.source
+        assert c_kernel.effective_backend == "c"
+        assert "_np" not in c_kernel.c_source
         assert c_val == py_val == float(a @ b)
-        reasons = [r for _, r in codegen.fallback_events()]
-        assert any("vectorized" in r or "Raw" in r for r in reasons)
+        assert not codegen.fallback_events()

@@ -11,6 +11,8 @@ def test_small_campaign_passes(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert "result: PASS" in out
+    # The C coverage line CI copies into its job summary.
+    assert "C backend: 5/5 cases ran effectively in C" in out
     assert not list(tmp_path.iterdir())  # nothing failed, no corpus
 
 

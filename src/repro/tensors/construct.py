@@ -29,23 +29,12 @@ from repro.util.errors import FormatError
 _PACKBITS_MIN_RUN = 3
 
 
-def _stored(fiber, fill):
-    """Per coordinate of ``fiber``: does its slice hold a non-fill value?
-
-    One vectorized comparison per fiber (``~(s == fill)``, reduced over
-    the trailing modes), so NaN fills store everything and ``-0.0``
-    counts as a ``0.0`` fill, exactly like an elementwise ``==``.
-    """
-    is_fill = np.asarray(fiber == fill)
-    if is_fill.ndim > 1:
-        is_fill = is_fill.all(axis=tuple(range(1, is_fill.ndim)))
-    return ~is_fill
+def _is_fill(slice_, fill):
+    return bool(np.all(slice_ == fill))
 
 
 def _build_dense(slices, dim, fill):
-    children = []
-    for s in slices:
-        children.extend(s)
+    children = [s[j] for s in slices for j in range(dim)]
     return {}, children
 
 
@@ -54,9 +43,10 @@ def _build_sparse(slices, dim, fill):
     idx = []
     children = []
     for s in slices:
-        stored = np.flatnonzero(_stored(s, fill))
-        idx.extend(stored.tolist())
-        children.extend(s[stored])
+        for j in range(dim):
+            if not _is_fill(s[j], fill):
+                idx.append(j)
+                children.append(s[j])
         pos.append(len(idx))
     return {"pos": pos, "idx": idx}, children
 
@@ -66,15 +56,28 @@ def _build_band(slices, dim, fill):
     lo = []
     children = []
     for s in slices:
-        stored = np.flatnonzero(_stored(s, fill))
-        if stored.size:
-            first, last = int(stored[0]), int(stored[-1])
+        stored = [j for j in range(dim) if not _is_fill(s[j], fill)]
+        if stored:
+            first, last = stored[0], stored[-1]
             lo.append(first)
-            children.extend(s[first:last + 1])
+            children.extend(s[j] for j in range(first, last + 1))
         else:
             lo.append(0)
         pos.append(len(children))
     return {"pos": pos, "lo": lo}, children
+
+
+def _stored(fiber, fill):
+    """Per coordinate of ``fiber``: does its slice hold a non-fill value?
+
+    One vectorized comparison per fiber (``~(s == fill)``, reduced over
+    the trailing modes), so NaN fills store everything and ``-0.0``
+    counts as a ``0.0`` fill, exactly like :func:`_is_fill`.
+    """
+    is_fill = np.asarray(fiber == fill)
+    if is_fill.ndim > 1:
+        is_fill = is_fill.all(axis=tuple(range(1, is_fill.ndim)))
+    return ~is_fill
 
 
 def _build_vbl(slices, dim, fill):
@@ -162,8 +165,9 @@ def _build_bitmap(slices, dim, fill):
     tbl = []
     children = []
     for s in slices:
-        tbl.extend(_stored(s, fill).tolist())
-        children.extend(s)
+        for j in range(dim):
+            tbl.append(not _is_fill(s[j], fill))
+            children.append(s[j])
     return {"tbl": tbl}, children
 
 
@@ -171,9 +175,10 @@ def _build_ragged(slices, dim, fill):
     pos = [0]
     children = []
     for s in slices:
-        stored = np.flatnonzero(_stored(s, fill))
-        width = int(stored[-1]) + 1 if stored.size else 0
-        children.extend(s[:width])
+        width = dim
+        while width > 0 and _is_fill(s[width - 1], fill):
+            width -= 1
+        children.extend(s[j] for j in range(width))
         pos.append(len(children))
     return {"pos": pos}, children
 
@@ -239,8 +244,9 @@ def from_numpy(arr, formats=None, fill=0.0, name=None):
         spec, slices = _BUILDERS[fmt](slices, arr.shape[mode], fill)
         specs.append((fmt, arr.shape[mode], spec))
 
-    # Every mode is consumed, so each slice is one element.
-    values = np.array(slices, dtype=arr.dtype).reshape(len(slices))
+    values = np.array([np.asarray(s)[()] for s in slices], dtype=arr.dtype)
+    if len(values) == 0:
+        values = np.zeros(0, dtype=arr.dtype)
     element = ElementLevel(values, fill_value=fill)
 
     child = element

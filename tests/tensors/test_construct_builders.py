@@ -1,8 +1,8 @@
-"""``from_numpy``'s vectorized level builders match per-element ones.
+"""``from_numpy``'s vectorized VBL builder matches the per-element one.
 
-The sparse, band, VBL, bitmap and ragged builders find stored
-coordinates with one ``~(s == fill)`` mask per fiber.  The reference
-builders below are the per-element versions they replaced (one
+The VBL builder finds its blocks from one ``~(s == fill)`` mask per
+fiber: a block starts where the mask rises and ends where it falls.
+The reference below is the per-element builder it replaced (one
 ``np.all(s[j] == fill)`` per coordinate); both must produce the same
 level arrays and element values for every fill, including NaN (never
 equal, so everything is stored) and ``-0.0`` (equal to a ``0.0``
@@ -18,31 +18,6 @@ from repro.tensors import construct
 
 def _is_fill(slice_, fill):
     return bool(np.all(slice_ == fill))
-
-
-def _ref_sparse(slices, dim, fill):
-    pos, idx, children = [0], [], []
-    for s in slices:
-        for j in range(dim):
-            if not _is_fill(s[j], fill):
-                idx.append(j)
-                children.append(s[j])
-        pos.append(len(idx))
-    return {"pos": pos, "idx": idx}, children
-
-
-def _ref_band(slices, dim, fill):
-    pos, lo, children = [0], [], []
-    for s in slices:
-        stored = [j for j in range(dim) if not _is_fill(s[j], fill)]
-        if stored:
-            first, last = stored[0], stored[-1]
-            lo.append(first)
-            children.extend(s[j] for j in range(first, last + 1))
-        else:
-            lo.append(0)
-        pos.append(len(children))
-    return {"pos": pos, "lo": lo}, children
 
 
 def _ref_vbl(slices, dim, fill):
@@ -63,30 +38,6 @@ def _ref_vbl(slices, dim, fill):
     return {"pos": pos, "end": end, "ofs": ofs}, children
 
 
-def _ref_bitmap(slices, dim, fill):
-    tbl, children = [], []
-    for s in slices:
-        for j in range(dim):
-            tbl.append(not _is_fill(s[j], fill))
-            children.append(s[j])
-    return {"tbl": tbl}, children
-
-
-def _ref_ragged(slices, dim, fill):
-    pos, children = [0], []
-    for s in slices:
-        width = dim
-        while width > 0 and _is_fill(s[width - 1], fill):
-            width -= 1
-        children.extend(s[j] for j in range(width))
-        pos.append(len(children))
-    return {"pos": pos}, children
-
-
-REFERENCE = {"sparse": _ref_sparse, "band": _ref_band, "vbl": _ref_vbl,
-             "bitmap": _ref_bitmap, "ragged": _ref_ragged}
-
-
 def _array(shape, fill, seed):
     """Mostly-fill data with runs, isolated values, ``-0.0`` and an
     all-fill fiber."""
@@ -104,28 +55,25 @@ def _array(shape, fill, seed):
 
 
 CASES = [
-    ((23,), ("{fmt}",)),
-    ((6, 17), ("dense", "{fmt}")),
-    ((17, 4), ("{fmt}", "dense")),
-    ((5, 9, 3), ("{fmt}", "dense", "dense")),
-    ((4, 7, 11), ("dense", "{fmt}", "{fmt}")),
+    ((23,), ("vbl",)),
+    ((6, 17), ("dense", "vbl")),
+    ((17, 4), ("vbl", "dense")),
+    ((5, 9, 3), ("vbl", "dense", "dense")),
+    ((4, 7, 11), ("dense", "vbl", "vbl")),
 ]
 
 
 @pytest.mark.parametrize("fill", [0.0, 2.0, float("nan")],
                          ids=["zero", "two", "nan"])
-@pytest.mark.parametrize("fmt", sorted(REFERENCE))
-@pytest.mark.parametrize("shape,pattern", CASES,
+@pytest.mark.parametrize("shape,formats", CASES,
                          ids=["1d", "2d-inner", "2d-fiber", "3d-fiber",
                               "3d-nested"])
-def test_level_arrays_match_per_element_builders(fmt, fill, shape,
-                                                 pattern, monkeypatch):
-    formats = tuple(f.format(fmt=fmt) for f in pattern)
-    arr = _array(shape, fill, seed=len(shape) * 31 + len(fmt))
+def test_level_arrays_match_per_element_builder(fill, shape, formats,
+                                                monkeypatch):
+    arr = _array(shape, fill, seed=len(shape) * 31)
     fast = fl.from_numpy(arr, formats, fill=fill)
     with monkeypatch.context() as patch:
-        for name, builder in REFERENCE.items():
-            patch.setitem(construct._BUILDERS, name, builder)
+        patch.setitem(construct._BUILDERS, "vbl", _ref_vbl)
         slow = fl.from_numpy(arr, formats, fill=fill)
     fast_buffers, slow_buffers = fast.buffers(), slow.buffers()
     assert sorted(fast_buffers) == sorted(slow_buffers)
@@ -141,14 +89,14 @@ def test_level_arrays_match_per_element_builders(fmt, fill, shape,
 
 
 def test_negative_zero_is_a_zero_fill():
-    arr = np.array([0.0, -0.0, 3.0, -0.0, 0.0, 4.0])
-    for fmt in ("sparse", "band", "vbl"):
-        tensor = fl.from_numpy(arr, (fmt,))
-        assert tensor.element.val.tolist() == (
-            [3.0, 4.0] if fmt != "band" else [3.0, -0.0, 0.0, 4.0])
+    arr = np.array([0.0, -0.0, 3.0, -0.0, 0.0, 4.0, 5.0])
+    level = fl.from_numpy(arr, ("vbl",)).levels[0]
+    assert level.end.tolist() == [3, 7]
+    assert level.ofs.tolist() == [0, 1, 3]
 
 
 def test_nan_fill_stores_everything():
     arr = np.array([np.nan, 1.0, np.nan])
-    tensor = fl.from_numpy(arr, ("sparse",), fill=float("nan"))
-    assert tensor.levels[0].idx.tolist() == [0, 1, 2]
+    tensor = fl.from_numpy(arr, ("vbl",), fill=float("nan"))
+    assert tensor.levels[0].end.tolist() == [3]
+    assert tensor.levels[0].ofs.tolist() == [0, 3]
